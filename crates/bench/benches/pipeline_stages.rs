@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use neo_pipeline::{
-    bin_to_tiles, cull_cloud, project_cloud, rasterize_tile, Image, RenderConfig, TileGrid,
+    bin_to_tiles, cull_cloud, project_storage, rasterize_tile, Image, RenderConfig, TileGrid,
 };
 use neo_scene::{presets::ScenePreset, FrameSampler, Resolution};
 
@@ -17,11 +17,11 @@ fn bench_stages(c: &mut Criterion) {
         b.iter(|| cull_cloud(black_box(&cam), black_box(&cloud)))
     });
 
-    group.bench_function("project_cloud_14k", |b| {
-        b.iter(|| project_cloud(black_box(&cam), black_box(&cloud)))
+    group.bench_function("project_storage_14k", |b| {
+        b.iter(|| project_storage(black_box(&cam), black_box(&cloud)))
     });
 
-    let projected = project_cloud(&cam, &cloud);
+    let projected = project_storage(&cam, &cloud);
     let grid = TileGrid::new(cam.width, cam.height, 64);
     group.bench_function("bin_to_tiles_14k", |b| {
         b.iter(|| bin_to_tiles(black_box(&grid), black_box(&projected)))

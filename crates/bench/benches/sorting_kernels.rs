@@ -5,7 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use neo_sort::bitonic::{bitonic_sort, bsu_sort16};
 use neo_sort::dps::{dynamic_partial_sort, DpsConfig};
 use neo_sort::merge::{chunk_sort, merge_filtering};
-use neo_sort::strategies::{StrategyKind, TileSorter};
+use neo_sort::strategies::StrategyKind;
 use neo_sort::{GaussianTable, TableEntry};
 
 fn entries(n: usize, seed: u64) -> Vec<TableEntry> {
@@ -96,9 +96,15 @@ fn bench_strategies(c: &mut Criterion) {
         ("hierarchical", StrategyKind::Hierarchical),
     ] {
         group.bench_function(label, |b| {
-            let mut sorter = TileSorter::new(kind);
-            sorter.process_frame(&frame); // warm the table
-            b.iter(|| sorter.process_frame(black_box(&frame)))
+            let mut sorter = kind.build(Default::default());
+            sorter.begin_frame(0);
+            sorter.order(&frame); // warm the table
+            let mut next_frame = 1;
+            b.iter(|| {
+                sorter.begin_frame(next_frame);
+                next_frame += 1;
+                sorter.order(black_box(&frame))
+            })
         });
     }
     group.finish();

@@ -2,7 +2,7 @@
 
 use crate::{NeoError, NeoResult};
 use neo_math::Vec3;
-use neo_pipeline::LodConfig;
+use neo_pipeline::{LodConfig, SUBTILE_SIZE};
 use neo_scene::StorageFormat;
 use neo_sort::dps::DpsConfig;
 use neo_sort::strategies::SorterConfig;
@@ -62,7 +62,7 @@ impl Parallelism {
     }
 }
 
-/// Configuration for a [`crate::SplatRenderer`].
+/// Configuration of a [`crate::RenderEngine`] and the sessions it mints.
 ///
 /// Builder-style setters allow one-liner construction:
 ///
@@ -74,7 +74,7 @@ impl Parallelism {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RendererConfig {
-    /// Tile edge in pixels (paper Table 1: 64).
+    /// Tile edge in pixels, 1 to 64 (paper Table 1: 64).
     pub tile_size: u32,
     /// Background color.
     pub background: Vec3,
@@ -213,11 +213,10 @@ impl RendererConfig {
     /// Shards each frame's tiles across up to `threads` worker threads
     /// (shorthand for [`Parallelism::Threads`]).
     ///
-    /// The knob is clamped rather than rejected, mirroring the legacy
-    /// tile-size clamping: `0` renders serially, and values above the
-    /// machine's available parallelism are capped to it (see
-    /// [`RendererConfig::effective_threads`]). Output is byte-identical
-    /// at any thread count.
+    /// The knob is clamped rather than rejected: `0` renders serially,
+    /// and values above the machine's available parallelism are capped
+    /// to it (see [`RendererConfig::effective_threads`]). Output is
+    /// byte-identical at any thread count.
     #[must_use]
     pub fn with_threads(mut self, threads: u32) -> Self {
         self.parallelism = Parallelism::Threads(threads);
@@ -354,6 +353,14 @@ impl RendererConfig {
         if self.tile_size == 0 {
             return Err(NeoError::invalid_config("tile size must be positive"));
         }
+        // Subtile bitmaps are 64-bit: a tile spans at most 8×8 subtiles,
+        // and the tile grid rejects anything larger.
+        if self.tile_size.div_ceil(SUBTILE_SIZE) > 8 {
+            return Err(NeoError::invalid_config(format!(
+                "tile size {} spans more than 8x8 subtiles of {SUBTILE_SIZE} px",
+                self.tile_size
+            )));
+        }
         self.dps.validate().map_err(NeoError::invalid_config)?;
         if let Some(warm) = &self.temporal_cache {
             warm.validate().map_err(NeoError::invalid_config)?;
@@ -477,8 +484,7 @@ mod tests {
 
     #[test]
     fn zero_threads_clamps_to_one() {
-        // Mirrors the legacy tile-size clamp: degenerate values are
-        // normalized, never rejected.
+        // Degenerate thread counts are normalized, never rejected.
         let cfg = RendererConfig::default().with_threads(0);
         assert_eq!(cfg.parallelism, Parallelism::Threads(0));
         assert_eq!(cfg.effective_threads(), 1);

@@ -42,8 +42,8 @@
 //! ```
 
 use crate::{
-    FrameResult, NeoError, NeoResult, RendererConfig, SequenceStats, SessionId, ShardPlan,
-    TemporalCacheStats, TileLoad,
+    FrameResult, NeoError, NeoResult, RendererConfig, SessionId, ShardPlan, TemporalCacheStats,
+    TileLoad,
 };
 use neo_pipeline::{
     bin_to_tiles, bin_to_tiles_with_clusters, project_clusters, project_storage, ClusterProjection,
@@ -121,47 +121,8 @@ struct TileStrategy {
     next_frame: u64,
     /// Cluster tags (`(cluster << 1) | proxy_bit`, sorted, deduped) seen
     /// in this tile on the previous LOD-path frame. Empty when the LOD
-    /// path is off — the flat path never touches it, preserving the
-    /// byte-exact legacy behaviour.
+    /// path is off — the flat path never touches it.
     prev_tags: Vec<u32>,
-}
-
-/// Per-session mutable rendering state: the tile grid, one strategy per
-/// occupied tile, and per-shard scratch buffers reused across frames.
-/// Shared by [`RenderSession`] and the deprecated `SplatRenderer` wrapper
-/// so both drive the exact same code path.
-#[derive(Debug, Default)]
-pub(crate) struct TileState {
-    grid: Option<TileGrid>,
-    sorters: Vec<Option<TileStrategy>>,
-    scratch: Vec<ShardScratch>,
-    frames_rendered: u64,
-}
-
-impl TileState {
-    pub(crate) fn reset(&mut self) {
-        self.grid = None;
-        self.sorters.clear();
-        self.scratch.clear();
-        self.frames_rendered = 0;
-    }
-
-    pub(crate) fn frames_rendered(&self) -> u64 {
-        self.frames_rendered
-    }
-
-    fn ensure_grid(&mut self, cam: &Camera, tile_size: u32) -> TileGrid {
-        let want = TileGrid::new(cam.width, cam.height, tile_size);
-        match self.grid {
-            Some(g) if g == want => g,
-            _ => {
-                self.sorters.clear();
-                self.sorters.resize_with(want.tile_count(), || None);
-                self.grid = Some(want);
-                want
-            }
-        }
-    }
 }
 
 /// Read-only per-frame inputs shared by every render worker.
@@ -236,7 +197,7 @@ fn run_shard(
     for &(tile_index, entries) in occupied {
         let slot = sorters[tile_index - base]
             .as_mut()
-            // neo-lint: allow(r2, "invariant: render_frame_core_with_plan creates every occupied tile's strategy before sharding; a miss is a caller bug worth halting on")
+            // neo-lint: allow(r2, "invariant: RenderSession::render creates every occupied tile's strategy before sharding; a miss is a caller bug worth halting on")
             .expect("strategies are pre-created in tile order before sharding");
         if let Some(all_tags) = ctx.tile_tags {
             // Cluster-granular invalidation: a cluster that flipped
@@ -309,280 +270,6 @@ fn run_shard(
         }
     }
     out
-}
-
-/// Renders one frame with the session's configured parallelism. The
-/// single rendering implementation behind both
-/// `RenderSession::render_frame` and the deprecated `SplatRenderer` —
-/// input validation happens in the callers, never here.
-pub(crate) fn render_frame_core(
-    state: &mut TileState,
-    factory: &StrategyFactory,
-    config: &RendererConfig,
-    storage: &dyn CloudStorage,
-    lod_index: Option<&ClusteredCloud>,
-    cam: &Camera,
-) -> FrameResult {
-    let plan = ShardPlan::balanced(config.effective_threads());
-    render_frame_core_with_plan(state, factory, config, storage, lod_index, cam, &plan)
-}
-
-/// Renders one frame with an explicit shard plan.
-///
-/// The frame pipeline: project and bin on the calling thread, resolve the
-/// plan into contiguous shards of the occupied-tile list, run one worker
-/// per shard on a `std::thread::scope` pool (each owning a disjoint slice
-/// of the per-tile sorting state and a shard-local scratch), then merge
-/// shard outputs *in shard order* — integer accumulations plus disjoint
-/// tile blits, so the result is byte-identical to serial rendering for
-/// any plan.
-pub(crate) fn render_frame_core_with_plan(
-    state: &mut TileState,
-    factory: &StrategyFactory,
-    config: &RendererConfig,
-    storage: &dyn CloudStorage,
-    lod_index: Option<&ClusteredCloud>,
-    cam: &Camera,
-    plan: &ShardPlan,
-) -> FrameResult {
-    let grid = state.ensure_grid(cam, config.tile_size);
-
-    // Projection: through the cluster index when the LOD path is on
-    // (whole-cluster culling, proxy substitution, member streaming), the
-    // flat storage walk otherwise — the latter byte-exactly preserves
-    // the pre-index renderer, which `tests/lod_parity.rs` pins.
-    let lod = config.lod.as_ref().zip(lod_index);
-    let (projected, assignments, tile_tags, cluster_stats) = match lod {
-        Some((lod_cfg, index)) => {
-            let ClusterProjection {
-                projected,
-                tags,
-                clusters_total,
-                clusters_culled,
-                clusters_proxied,
-                splats_saved,
-                splats_visited,
-            } = project_clusters(cam, storage, index, lod_cfg);
-            let (assignments, tile_tags) = bin_to_tiles_with_clusters(&grid, &projected, &tags);
-            (
-                projected,
-                assignments,
-                Some(tile_tags),
-                Some((
-                    clusters_total,
-                    clusters_culled,
-                    clusters_proxied,
-                    splats_saved,
-                    splats_visited,
-                )),
-            )
-        }
-        None => {
-            let projected = project_storage(cam, storage);
-            let assignments = bin_to_tiles(&grid, &projected);
-            (projected, assignments, None, None)
-        }
-    };
-
-    // ID → projected-splat lookup for rasterization. Proxy splats live
-    // in the ID range above the storage (`source_len + proxy_index`).
-    let id_space = storage.len() + lod.map_or(0, |(_, index)| index.proxy_count());
-    let mut by_id: Vec<Option<usize>> = vec![None; id_space];
-    for (i, p) in projected.iter().enumerate() {
-        by_id[neo_math::num::usize_from_u32(p.id)] = Some(i);
-    }
-
-    // Occupied tiles in ascending tile-index order.
-    let occupied: Vec<(usize, &[(u32, f32)])> = assignments.iter_occupied().collect();
-    let ranges = match plan {
-        // The default serial config resolves to one shard no matter the
-        // loads; skip materializing the per-tile entry counts.
-        ShardPlan::Balanced { shards: 0 | 1 } if !occupied.is_empty() => {
-            std::iter::once(0..occupied.len()).collect()
-        }
-        _ => {
-            // Per-tile entry counts cost-balance the shards.
-            let loads: Vec<usize> = occupied.iter().map(|(_, e)| e.len()).collect();
-            plan.resolve(&loads)
-        }
-    };
-
-    let mut stats = FrameStats {
-        input: storage.len(),
-        projected: projected.len(),
-        duplicates: assignments.total_assignments(),
-        occupied_tiles: occupied.len(),
-        ..Default::default()
-    };
-    // Charge the *actual* per-record size of the configured storage
-    // backend: compact records are less than half the f32 size, and the
-    // ledger is how that saving reaches the DRAM traffic model. On the
-    // LOD path only the records actually decoded (surviving members +
-    // proxies) are charged — that is the traffic the index exists to
-    // cut; the flat walk touches every record, exactly as before.
-    let feature_bytes = neo_math::num::u64_from_usize(storage.record_bytes());
-    let records_read = match cluster_stats {
-        Some((total, culled, proxied, saved, visited)) => {
-            stats.clusters_total = total;
-            stats.clusters_culled = culled;
-            stats.clusters_lod = proxied;
-            stats.lod_splats_saved = saved;
-            visited
-        }
-        None => neo_math::num::u64_from_usize(storage.len()),
-    };
-    stats
-        .traffic
-        .read(Stage::FeatureExtraction, records_read * feature_bytes);
-
-    let raster_cfg = RenderConfig {
-        tile_size: config.tile_size,
-        background: config.background,
-        subtiling: config.subtiling,
-        raster_fast_path: config.raster_fast_path,
-        ..RenderConfig::default()
-    };
-    let ctx = ShardContext {
-        projected: &projected,
-        by_id: &by_id,
-        grid: &grid,
-        raster_cfg: &raster_cfg,
-        render_image: config.render_image,
-        feature_bytes,
-        tile_tags: tile_tags.as_deref(),
-    };
-
-    // Strategy creation happens here, on the calling thread, in tile
-    // order — never lazily inside a worker. User factories may be impure
-    // (e.g. handing out a different seed per creation), so a racy
-    // creation order would make the tile→strategy assignment depend on
-    // scheduling and break the byte-identical contract.
-    for &(tile_index, _) in &occupied {
-        state.sorters[tile_index].get_or_insert_with(|| TileStrategy {
-            strategy: factory.create(),
-            next_frame: 0,
-            prev_tags: Vec::new(),
-        });
-    }
-
-    // Shard-local scratch buffers persist in the session and are only
-    // grown, never reallocated per frame.
-    if state.scratch.len() < ranges.len() {
-        state.scratch.resize_with(ranges.len(), ShardScratch::new);
-    }
-    let sorters = state.sorters.as_mut_slice();
-    let scratches = &mut state.scratch[..ranges.len()];
-
-    let mut image = config
-        .render_image
-        .then(|| Image::new(cam.width, cam.height, config.background));
-
-    let outputs: Vec<ShardOutput> = if ranges.len() <= 1 {
-        // Serial fast path: no threads, same per-tile body, and each
-        // tile blits straight into the framebuffer — no deferred-merge
-        // arena, no extra frame copy.
-        match ranges.first() {
-            None => Vec::new(),
-            Some(r) => {
-                let scratch = &mut scratches[0];
-                let mut rasterize = |tile_index: usize, blend: &[&ProjectedGaussian]| {
-                    let img = image
-                        .as_mut()
-                        // neo-lint: allow(r2, "invariant: run_shard only calls the rasterize sink when ctx.render_image is set, and render_image is what populated `image`")
-                        .expect("rasterize sink is only called when an image is rendered");
-                    scratch.rasterize_direct(img, &grid, tile_index, blend, &raster_cfg)
-                };
-                vec![run_shard(
-                    &ctx,
-                    &occupied[r.clone()],
-                    sorters,
-                    0,
-                    &mut rasterize,
-                )]
-            }
-        }
-    } else {
-        // One scoped worker per shard. Each worker gets the contiguous
-        // slice of `sorters` spanning its shard's tile indices (shards
-        // are in ascending tile order, so repeated split_at_mut hands
-        // out disjoint windows), plus its own scratch to rasterize into.
-        // Workers are joined in shard order; panics propagate.
-        let outputs: Vec<ShardOutput> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(ranges.len());
-            let mut rest = sorters;
-            let mut base = 0usize;
-            let mut scratch_iter = scratches.iter_mut();
-            for (k, range) in ranges.iter().enumerate() {
-                let next_base = match ranges.get(k + 1) {
-                    Some(next) => occupied[next.start].0,
-                    None => base + rest.len(),
-                };
-                let (window, tail) = rest.split_at_mut(next_base - base);
-                rest = tail;
-                let occ = &occupied[range.clone()];
-                // neo-lint: allow(r2, "invariant: `scratches` is resized to ranges.len() a few lines above; one scratch per shard by construction")
-                let scratch = scratch_iter.next().expect("scratch sized to shard count");
-                let ctx = &ctx;
-                let window_base = base;
-                base = next_base;
-                handles.push(scope.spawn(move || {
-                    scratch.begin_frame();
-                    let mut rasterize = |tile_index: usize, blend: &[&ProjectedGaussian]| {
-                        scratch.rasterize(ctx.grid, tile_index, blend, ctx.raster_cfg)
-                    };
-                    run_shard(ctx, occ, window, window_base, &mut rasterize)
-                }));
-            }
-            handles
-                .into_iter()
-                // neo-lint: allow(r2, "deliberate panic propagation: a worker panic must abort the frame, not yield a partial image")
-                .map(|h| h.join().expect("render worker panicked"))
-                .collect()
-        });
-        if let Some(img) = image.as_mut() {
-            // Tiles own disjoint pixel rects, so replaying each shard's
-            // buffered blocks yields the serial image exactly.
-            for scratch in scratches.iter() {
-                scratch.blit_to(img, &grid);
-            }
-        }
-        outputs
-    };
-
-    // Deterministic merge: shard order is tile order, and every counter
-    // is an order-independent integer sum.
-    let mut sort_cost = SortCost::new();
-    let mut incoming_total = 0usize;
-    let mut outgoing_total = 0usize;
-    let mut tile_loads = Vec::with_capacity(stats.occupied_tiles);
-    let mut temporal = TemporalCacheStats::default();
-    for out in outputs {
-        stats.traffic += out.traffic;
-        sort_cost += out.sort_cost;
-        incoming_total += out.incoming;
-        outgoing_total += out.outgoing;
-        stats.blend_ops += out.blend_ops;
-        stats.saturated_pixels += out.saturated_pixels;
-        stats.pixel_visits += out.pixel_visits;
-        tile_loads.extend(out.tile_loads);
-        temporal += out.temporal;
-    }
-
-    stats.traffic.write(
-        Stage::Rasterization,
-        u64::from(cam.width) * u64::from(cam.height) * 4,
-    );
-
-    state.frames_rendered += 1;
-    FrameResult {
-        image,
-        stats,
-        sort_cost,
-        incoming: incoming_total,
-        outgoing: outgoing_total,
-        tile_loads,
-        temporal,
-    }
 }
 
 /// Rejects cameras that cannot produce a well-defined projection.
@@ -687,8 +374,8 @@ impl RenderEngineBuilder {
     /// * [`NeoError::EmptyCloud`] — no scene was provided, or the scene
     ///   contains no Gaussians.
     /// * [`NeoError::InvalidConfig`] — the configuration fails
-    ///   [`RendererConfig::validate`] (zero tile size, DPS chunk size
-    ///   below 2) or the strategy kind is invalid (zero periodic
+    ///   [`RendererConfig::validate`] (tile size zero or above 64 px, DPS
+    ///   chunk size below 2) or the strategy kind is invalid (zero periodic
     ///   interval).
     pub fn build(self) -> NeoResult<RenderEngine> {
         let scene = self.scene.ok_or(NeoError::EmptyCloud)?;
@@ -789,7 +476,10 @@ impl RenderEngine {
             lod_index: self.lod_index.clone(),
             config: self.config.clone(),
             factory: self.factory.clone(),
-            state: TileState::default(),
+            grid: None,
+            sorters: Vec::new(),
+            scratch: Vec::new(),
+            frames_rendered: 0,
         }
     }
 
@@ -841,7 +531,13 @@ pub struct RenderSession {
     lod_index: Option<Arc<ClusteredCloud>>,
     config: RendererConfig,
     factory: StrategyFactory,
-    state: TileState,
+    /// The grid of the last frame; a different grid resets `sorters`.
+    grid: Option<TileGrid>,
+    /// One strategy per tile, created when the tile is first occupied.
+    sorters: Vec<Option<TileStrategy>>,
+    /// Per-shard scratch buffers, grown and reused across frames.
+    scratch: Vec<ShardScratch>,
+    frames_rendered: u64,
 }
 
 impl RenderSession {
@@ -860,15 +556,7 @@ impl RenderSession {
     /// resolution, a non-finite pose, a non-positive field of view, or
     /// inverted clip planes. Valid cameras never fail.
     pub fn render_frame(&mut self, cam: &Camera) -> NeoResult<FrameResult> {
-        validate_camera(cam)?;
-        Ok(render_frame_core(
-            &mut self.state,
-            &self.factory,
-            &self.config,
-            self.storage.as_ref(),
-            self.lod_index.as_deref(),
-            cam,
-        ))
+        self.render_frame_with_plan(cam, &ShardPlan::balanced(self.config.effective_threads()))
     }
 
     /// Renders one frame with an explicit [`ShardPlan`] instead of the
@@ -912,31 +600,252 @@ impl RenderSession {
         plan: &ShardPlan,
     ) -> NeoResult<FrameResult> {
         validate_camera(cam)?;
-        Ok(render_frame_core_with_plan(
-            &mut self.state,
-            &self.factory,
-            &self.config,
-            self.storage.as_ref(),
-            self.lod_index.as_deref(),
-            cam,
-            plan,
-        ))
+        Ok(self.render(cam, plan))
     }
 
-    /// Renders every camera in `cameras`, returning the per-frame results
-    /// and the aggregate statistics. Stops at the first camera error.
-    pub fn render_sequence(
-        &mut self,
-        cameras: &[Camera],
-    ) -> NeoResult<(Vec<FrameResult>, SequenceStats)> {
-        let mut stats = SequenceStats::default();
-        let mut frames = Vec::with_capacity(cameras.len());
-        for cam in cameras {
-            let fr = self.render_frame(cam)?;
-            stats.push(&fr);
-            frames.push(fr);
+    /// The frame pipeline behind [`RenderSession::render_frame_with_plan`],
+    /// on a camera that already passed validation.
+    ///
+    /// Project and bin on the calling thread, resolve the plan into
+    /// contiguous shards of the occupied-tile list, run one worker per
+    /// shard on a `std::thread::scope` pool (each owning a disjoint slice
+    /// of the per-tile sorting state and a shard-local scratch), then
+    /// merge shard outputs *in shard order* — integer accumulations plus
+    /// disjoint tile blits, so the result is byte-identical to serial
+    /// rendering for any plan.
+    fn render(&mut self, cam: &Camera, plan: &ShardPlan) -> FrameResult {
+        let config = &self.config;
+        let storage = self.storage.as_ref();
+        let grid = TileGrid::new(cam.width, cam.height, config.tile_size);
+        if self.grid != Some(grid) {
+            // Tables are layout-specific: a new grid starts every tile cold.
+            self.sorters.clear();
+            self.sorters.resize_with(grid.tile_count(), || None);
+            self.grid = Some(grid);
         }
-        Ok((frames, stats))
+
+        // Charge the *actual* per-record size of the configured storage
+        // backend: compact records are less than half the f32 size, and the
+        // ledger is how that saving reaches the DRAM traffic model. On the
+        // LOD path only the records actually decoded (surviving members +
+        // proxies) are charged — that is the traffic the index exists to
+        // cut; the flat walk touches every record.
+        let feature_bytes = neo_math::num::u64_from_usize(storage.record_bytes());
+        let mut records_read = neo_math::num::u64_from_usize(storage.len());
+        let mut stats = FrameStats {
+            input: storage.len(),
+            ..Default::default()
+        };
+
+        // Projection: through the cluster index when the LOD path is on
+        // (whole-cluster culling, proxy substitution, member streaming), the
+        // flat storage walk otherwise — the latter byte-exactly preserves
+        // the pre-index renderer, which `tests/lod_parity.rs` pins.
+        let lod = config.lod.as_ref().zip(self.lod_index.as_deref());
+        let (projected, assignments, tile_tags) = match lod {
+            Some((lod_cfg, index)) => {
+                let ClusterProjection {
+                    projected,
+                    tags,
+                    clusters_total,
+                    clusters_culled,
+                    clusters_proxied,
+                    splats_saved,
+                    splats_visited,
+                } = project_clusters(cam, storage, index, lod_cfg);
+                stats.clusters_total = clusters_total;
+                stats.clusters_culled = clusters_culled;
+                stats.clusters_lod = clusters_proxied;
+                stats.lod_splats_saved = splats_saved;
+                records_read = splats_visited;
+                let (assignments, tile_tags) = bin_to_tiles_with_clusters(&grid, &projected, &tags);
+                (projected, assignments, Some(tile_tags))
+            }
+            None => {
+                let projected = project_storage(cam, storage);
+                let assignments = bin_to_tiles(&grid, &projected);
+                (projected, assignments, None)
+            }
+        };
+
+        // ID → projected-splat lookup for rasterization. Proxy splats live
+        // in the ID range above the storage (`source_len + proxy_index`).
+        let id_space = storage.len() + lod.map_or(0, |(_, index)| index.proxy_count());
+        let mut by_id: Vec<Option<usize>> = vec![None; id_space];
+        for (i, p) in projected.iter().enumerate() {
+            by_id[neo_math::num::usize_from_u32(p.id)] = Some(i);
+        }
+
+        // Occupied tiles in ascending tile-index order.
+        let occupied: Vec<(usize, &[(u32, f32)])> = assignments.iter_occupied().collect();
+        let ranges = match plan {
+            // The default serial config resolves to one shard no matter the
+            // loads; skip materializing the per-tile entry counts.
+            ShardPlan::Balanced { shards: 0 | 1 } if !occupied.is_empty() => {
+                std::iter::once(0..occupied.len()).collect()
+            }
+            _ => {
+                // Per-tile entry counts cost-balance the shards.
+                let loads: Vec<usize> = occupied.iter().map(|(_, e)| e.len()).collect();
+                plan.resolve(&loads)
+            }
+        };
+
+        stats.projected = projected.len();
+        stats.duplicates = assignments.total_assignments();
+        stats.occupied_tiles = occupied.len();
+        stats
+            .traffic
+            .read(Stage::FeatureExtraction, records_read * feature_bytes);
+
+        let raster_cfg = RenderConfig {
+            tile_size: config.tile_size,
+            background: config.background,
+            subtiling: config.subtiling,
+            raster_fast_path: config.raster_fast_path,
+            ..RenderConfig::default()
+        };
+        let ctx = ShardContext {
+            projected: &projected,
+            by_id: &by_id,
+            grid: &grid,
+            raster_cfg: &raster_cfg,
+            render_image: config.render_image,
+            feature_bytes,
+            tile_tags: tile_tags.as_deref(),
+        };
+
+        // Strategy creation happens here, on the calling thread, in tile
+        // order — never lazily inside a worker. User factories may be impure
+        // (e.g. handing out a different seed per creation), so a racy
+        // creation order would make the tile→strategy assignment depend on
+        // scheduling and break the byte-identical contract.
+        for &(tile_index, _) in &occupied {
+            self.sorters[tile_index].get_or_insert_with(|| TileStrategy {
+                strategy: self.factory.create(),
+                next_frame: 0,
+                prev_tags: Vec::new(),
+            });
+        }
+
+        // Shard-local scratch buffers persist in the session and are only
+        // grown, never reallocated per frame.
+        if self.scratch.len() < ranges.len() {
+            self.scratch.resize_with(ranges.len(), ShardScratch::new);
+        }
+        let sorters = self.sorters.as_mut_slice();
+        let scratches = &mut self.scratch[..ranges.len()];
+
+        let mut image = config
+            .render_image
+            .then(|| Image::new(cam.width, cam.height, config.background));
+
+        let outputs: Vec<ShardOutput> = if ranges.len() <= 1 {
+            // Serial fast path: no threads, same per-tile body, and each
+            // tile blits straight into the framebuffer — no deferred-merge
+            // arena, no extra frame copy.
+            match ranges.first() {
+                None => Vec::new(),
+                Some(r) => {
+                    let scratch = &mut scratches[0];
+                    let mut rasterize = |tile_index: usize, blend: &[&ProjectedGaussian]| {
+                        let img = image
+                            .as_mut()
+                            // neo-lint: allow(r2, "invariant: run_shard only calls the rasterize sink when ctx.render_image is set, and render_image is what populated `image`")
+                            .expect("rasterize sink is only called when an image is rendered");
+                        scratch.rasterize_direct(img, &grid, tile_index, blend, &raster_cfg)
+                    };
+                    vec![run_shard(
+                        &ctx,
+                        &occupied[r.clone()],
+                        sorters,
+                        0,
+                        &mut rasterize,
+                    )]
+                }
+            }
+        } else {
+            // One scoped worker per shard. Each worker gets the contiguous
+            // slice of `sorters` spanning its shard's tile indices (shards
+            // are in ascending tile order, so repeated split_at_mut hands
+            // out disjoint windows), plus its own scratch to rasterize into.
+            // Workers are joined in shard order; panics propagate.
+            let outputs: Vec<ShardOutput> = std::thread::scope(|scope| {
+                let mut handles = Vec::with_capacity(ranges.len());
+                let mut rest = sorters;
+                let mut base = 0usize;
+                let mut scratch_iter = scratches.iter_mut();
+                for (k, range) in ranges.iter().enumerate() {
+                    let next_base = match ranges.get(k + 1) {
+                        Some(next) => occupied[next.start].0,
+                        None => base + rest.len(),
+                    };
+                    let (window, tail) = rest.split_at_mut(next_base - base);
+                    rest = tail;
+                    let occ = &occupied[range.clone()];
+                    // neo-lint: allow(r2, "invariant: `scratches` is resized to ranges.len() a few lines above; one scratch per shard by construction")
+                    let scratch = scratch_iter.next().expect("scratch sized to shard count");
+                    let ctx = &ctx;
+                    let window_base = base;
+                    base = next_base;
+                    handles.push(scope.spawn(move || {
+                        scratch.begin_frame();
+                        let mut rasterize = |tile_index: usize, blend: &[&ProjectedGaussian]| {
+                            scratch.rasterize(ctx.grid, tile_index, blend, ctx.raster_cfg)
+                        };
+                        run_shard(ctx, occ, window, window_base, &mut rasterize)
+                    }));
+                }
+                handles
+                    .into_iter()
+                    // neo-lint: allow(r2, "deliberate panic propagation: a worker panic must abort the frame, not yield a partial image")
+                    .map(|h| h.join().expect("render worker panicked"))
+                    .collect()
+            });
+            if let Some(img) = image.as_mut() {
+                // Tiles own disjoint pixel rects, so replaying each shard's
+                // buffered blocks yields the serial image exactly.
+                for scratch in scratches.iter() {
+                    scratch.blit_to(img, &grid);
+                }
+            }
+            outputs
+        };
+
+        // Deterministic merge: shard order is tile order, and every counter
+        // is an order-independent integer sum.
+        let mut sort_cost = SortCost::new();
+        let mut incoming_total = 0usize;
+        let mut outgoing_total = 0usize;
+        let mut tile_loads = Vec::with_capacity(stats.occupied_tiles);
+        let mut temporal = TemporalCacheStats::default();
+        for out in outputs {
+            stats.traffic += out.traffic;
+            sort_cost += out.sort_cost;
+            incoming_total += out.incoming;
+            outgoing_total += out.outgoing;
+            stats.blend_ops += out.blend_ops;
+            stats.saturated_pixels += out.saturated_pixels;
+            stats.pixel_visits += out.pixel_visits;
+            tile_loads.extend(out.tile_loads);
+            temporal += out.temporal;
+        }
+
+        stats.traffic.write(
+            Stage::Rasterization,
+            u64::from(cam.width) * u64::from(cam.height) * 4,
+        );
+
+        self.frames_rendered += 1;
+        FrameResult {
+            image,
+            stats,
+            sort_cost,
+            incoming: incoming_total,
+            outgoing: outgoing_total,
+            tile_loads,
+            temporal,
+        }
     }
 
     /// Iterates rendered frames along a [`FrameSampler`] trajectory:
@@ -968,12 +877,15 @@ impl RenderSession {
 
     /// Drops all per-tile state (tables, strategy queues).
     pub fn reset(&mut self) {
-        self.state.reset();
+        self.grid = None;
+        self.sorters.clear();
+        self.scratch.clear();
+        self.frames_rendered = 0;
     }
 
     /// Frames rendered since construction (or the last reset).
     pub fn frames_rendered(&self) -> u64 {
-        self.state.frames_rendered()
+        self.frames_rendered
     }
 
     /// The shared scene this session renders.
@@ -1036,12 +948,26 @@ mod tests {
     use neo_scene::{presets::ScenePreset, Resolution};
 
     fn small_engine() -> RenderEngine {
+        small_engine_with(StrategyKind::ReuseUpdate, RendererConfig::default())
+    }
+
+    /// The Family test scene at 32-px tiles under `kind` and `config`.
+    fn small_engine_with(kind: StrategyKind, config: RendererConfig) -> RenderEngine {
         RenderEngine::builder()
             .scene(ScenePreset::Family.build_scaled(0.002))
-            .config(RendererConfig::default().with_tile_size(32))
+            .config(config.with_tile_size(32))
+            .strategy(kind)
             .build()
             .expect("valid")
     }
+
+    const ALL_STRATEGIES: [StrategyKind; 5] = [
+        StrategyKind::FullResort,
+        StrategyKind::Hierarchical,
+        StrategyKind::Periodic(2),
+        StrategyKind::Background(1),
+        StrategyKind::ReuseUpdate,
+    ];
 
     fn small_sampler() -> FrameSampler {
         FrameSampler::new(
@@ -1067,13 +993,26 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_zero_tile_size() {
-        let err = RenderEngine::builder()
+    fn builder_rejects_out_of_range_tile_sizes() {
+        // Above 64 px a tile spans more than the 8x8 subtiles a bitmap
+        // can track, which the tile grid rejects on the first frame.
+        for tile_size in [0, 65, 128] {
+            let err = RenderEngine::builder()
+                .scene(ScenePreset::Family.build_scaled(0.002))
+                .config(RendererConfig::default().with_tile_size(tile_size))
+                .build()
+                .unwrap_err();
+            assert!(matches!(err, NeoError::InvalidConfig(_)), "{err:?}");
+        }
+        let largest = RenderEngine::builder()
             .scene(ScenePreset::Family.build_scaled(0.002))
-            .config(RendererConfig::default().with_tile_size(0))
+            .config(RendererConfig::default().with_tile_size(64))
             .build()
-            .unwrap_err();
-        assert!(matches!(err, NeoError::InvalidConfig(_)), "{err:?}");
+            .unwrap();
+        assert!(largest
+            .session()
+            .render_frame(&small_sampler().frame(0))
+            .is_ok());
     }
 
     #[test]
@@ -1104,10 +1043,98 @@ mod tests {
         let f0 = session.render_frame(&sampler.frame(0)).unwrap();
         let f1 = session.render_frame(&sampler.frame(1)).unwrap();
         // Frame 1 reuses frame 0's tables: most Gaussians are retained.
-        assert!(f1.incoming < f0.incoming);
+        assert!(f0.incoming > 0);
+        let churn = f1.incoming as f64 / f0.incoming as f64;
+        assert!(
+            churn < 0.25,
+            "frame-1 churn should be small, got {churn:.3}"
+        );
         assert_eq!(session.frames_rendered(), 2);
         session.reset();
         assert_eq!(session.frames_rendered(), 0);
+    }
+
+    #[test]
+    fn resolution_change_resets_the_tables() {
+        let engine = small_engine();
+        let sampler = small_sampler();
+        let mut session = engine.session();
+        session.render_frame(&sampler.frame(0)).unwrap();
+        let bigger = sampler
+            .frame(1)
+            .with_resolution(Resolution::Custom(320, 192));
+        let f = session.render_frame(&bigger).unwrap();
+        // Every splat-tile pair is incoming again after the reset.
+        assert_eq!(f.incoming, f.stats.duplicates);
+    }
+
+    #[test]
+    fn reuse_update_cuts_sorting_traffic_against_full_resort() {
+        let sampler = small_sampler();
+        let mut neo =
+            small_engine_with(StrategyKind::ReuseUpdate, RendererConfig::default()).session();
+        let mut full =
+            small_engine_with(StrategyKind::FullResort, RendererConfig::default()).session();
+        let (mut neo_bytes, mut full_bytes) = (0u64, 0u64);
+        for i in 0..6 {
+            let cam = sampler.frame(i);
+            let a = neo.render_frame(&cam).unwrap();
+            let b = full.render_frame(&cam).unwrap();
+            // Frame 0 inserts everything under both strategies.
+            if i > 0 {
+                neo_bytes += a.stats.traffic.stage_total(Stage::Sorting);
+                full_bytes += b.stats.traffic.stage_total(Stage::Sorting);
+            }
+        }
+        assert!(
+            (neo_bytes as f64) < full_bytes as f64 * 0.55,
+            "reuse-update {neo_bytes} vs full resort {full_bytes}"
+        );
+    }
+
+    #[test]
+    fn periodic_skip_frames_charge_no_sorting_traffic() {
+        let sampler = small_sampler();
+        let mut session =
+            small_engine_with(StrategyKind::Periodic(4), RendererConfig::default()).session();
+        let f0 = session.render_frame(&sampler.frame(0)).unwrap();
+        let f1 = session.render_frame(&sampler.frame(1)).unwrap();
+        assert!(f0.stats.traffic.stage_total(Stage::Sorting) > 0);
+        assert_eq!(
+            f1.stats.traffic.stage_total(Stage::Sorting),
+            0,
+            "skip frame"
+        );
+        assert!(f1.image.is_some());
+    }
+
+    #[test]
+    fn fully_culled_frames_show_the_background_under_every_strategy() {
+        let red = Vec3::new(1.0, 0.0, 0.0);
+        // Far outside the scene and facing away from it: every splat is
+        // behind the camera.
+        let away = Camera::look_at(
+            Vec3::new(0.0, 0.0, -1.0e4),
+            Vec3::new(0.0, 0.0, -2.0e4),
+            Vec3::Y,
+            1.0,
+            Resolution::Custom(64, 64),
+        );
+        for kind in ALL_STRATEGIES {
+            let engine = small_engine_with(kind, RendererConfig::default().with_background(red));
+            let mut session = engine.session();
+            for frame in 0..2 {
+                let f = session.render_frame(&away).unwrap();
+                assert_eq!(f.stats.projected, 0, "{kind:?} frame {frame}");
+                assert_eq!(f.incoming, 0, "{kind:?} frame {frame}");
+                assert!(f.tile_loads.is_empty(), "{kind:?} frame {frame}");
+                let image = f.image.expect("images are on by default");
+                assert!(
+                    image.pixels().iter().all(|&p| p == red),
+                    "{kind:?} frame {frame}: uncovered pixels must be background"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1479,6 +1506,9 @@ mod tests {
             .render_frame_with_plan(&cam, &ShardPlan::balanced(3))
             .unwrap();
         assert!(a.image.is_none());
+        assert_eq!(a.stats.blend_ops, 0);
+        assert!(!a.tile_loads.is_empty());
+        assert!(a.mean_table_len() > 0.0);
         assert_eq!(a, b);
     }
 }

@@ -104,7 +104,7 @@ pub trait SortingStrategy: std::fmt::Debug + Send {
     fn invalidate_cache(&mut self) {}
 }
 
-/// Which built-in sorting strategy a [`TileSorter`] runs.
+/// Which built-in sorting strategy to run.
 ///
 /// This enum is a *convenience constructor* over the open
 /// [`SortingStrategy`] trait — see [`StrategyKind::build`]. New
@@ -609,123 +609,6 @@ impl SortingStrategy for ReuseUpdateStrategy {
     }
 }
 
-/// Closed enum-dispatch over the five built-in strategies, kept so
-/// [`TileSorter`] stays `Clone` (boxed trait objects are not).
-#[derive(Debug, Clone)]
-enum BuiltinStrategy {
-    FullResort(FullResortStrategy),
-    Hierarchical(HierarchicalStrategy),
-    Periodic(PeriodicStrategy),
-    Background(BackgroundStrategy),
-    ReuseUpdate(ReuseUpdateStrategy),
-}
-
-impl BuiltinStrategy {
-    fn as_dyn(&self) -> &dyn SortingStrategy {
-        match self {
-            BuiltinStrategy::FullResort(s) => s,
-            BuiltinStrategy::Hierarchical(s) => s,
-            BuiltinStrategy::Periodic(s) => s,
-            BuiltinStrategy::Background(s) => s,
-            BuiltinStrategy::ReuseUpdate(s) => s,
-        }
-    }
-
-    fn as_dyn_mut(&mut self) -> &mut dyn SortingStrategy {
-        match self {
-            BuiltinStrategy::FullResort(s) => s,
-            BuiltinStrategy::Hierarchical(s) => s,
-            BuiltinStrategy::Periodic(s) => s,
-            BuiltinStrategy::Background(s) => s,
-            BuiltinStrategy::ReuseUpdate(s) => s,
-        }
-    }
-}
-
-/// Per-tile sorting state machine over the built-in strategies.
-///
-/// A thin convenience wrapper that owns one [`SortingStrategy`]
-/// implementor and drives it with an auto-incrementing frame counter;
-/// kept `Clone` for embedding in snapshot-style experiment state. New
-/// code that needs an open strategy set should hold
-/// `Box<dyn SortingStrategy>` (see [`StrategyKind::build`]) instead.
-///
-/// # Examples
-///
-/// ```
-/// use neo_sort::strategies::{StrategyKind, TileSorter};
-///
-/// let mut sorter = TileSorter::new(StrategyKind::ReuseUpdate);
-/// let frame0: Vec<(u32, f32)> = (0..100).map(|i| (i, i as f32)).collect();
-/// let out = sorter.process_frame(&frame0);
-/// assert_eq!(out.order.len(), 100);
-/// assert_eq!(out.incoming, 100);
-/// ```
-#[derive(Debug, Clone)]
-pub struct TileSorter {
-    kind: StrategyKind,
-    inner: BuiltinStrategy,
-    next_frame: u64,
-    /// Returned by [`TileSorter::table`] for table-less strategies.
-    empty: GaussianTable,
-}
-
-impl TileSorter {
-    /// Creates a sorter with default configuration.
-    pub fn new(kind: StrategyKind) -> Self {
-        Self::with_config(kind, SorterConfig::default())
-    }
-
-    /// Creates a sorter with explicit configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when [`StrategyKind::validate`] rejects `kind` (e.g. a zero
-    /// periodic interval, enforced by [`PeriodicStrategy::new`]).
-    #[must_use]
-    pub fn with_config(kind: StrategyKind, config: SorterConfig) -> Self {
-        let inner = match kind {
-            StrategyKind::FullResort => BuiltinStrategy::FullResort(FullResortStrategy::new()),
-            StrategyKind::Hierarchical => {
-                BuiltinStrategy::Hierarchical(HierarchicalStrategy::new())
-            }
-            StrategyKind::Periodic(n) => BuiltinStrategy::Periodic(PeriodicStrategy::new(n)),
-            StrategyKind::Background(lag) => {
-                BuiltinStrategy::Background(BackgroundStrategy::new(lag))
-            }
-            StrategyKind::ReuseUpdate => {
-                BuiltinStrategy::ReuseUpdate(ReuseUpdateStrategy::new(config))
-            }
-        };
-        Self {
-            kind,
-            inner,
-            next_frame: 0,
-            empty: GaussianTable::new(),
-        }
-    }
-
-    /// The strategy this sorter runs.
-    pub fn kind(&self) -> StrategyKind {
-        self.kind
-    }
-
-    /// The table carried across frames (empty for stateless strategies).
-    pub fn table(&self) -> &GaussianTable {
-        self.inner.as_dyn().table().unwrap_or(&self.empty)
-    }
-
-    /// Feeds one frame of true `(id, depth)` entries; returns the blend
-    /// order and its cost.
-    pub fn process_frame(&mut self, current: &[(u32, f32)]) -> FrameOrder {
-        let frame = self.next_frame;
-        self.next_frame += 1;
-        let strategy = self.inner.as_dyn_mut();
-        strategy.begin_frame(frame);
-        strategy.order(current)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -738,11 +621,20 @@ mod tests {
         order.iter().map(|e| e.id).collect()
     }
 
+    fn drive(s: &mut dyn SortingStrategy, frame_index: u64, input: &[(u32, f32)]) -> FrameOrder {
+        s.begin_frame(frame_index);
+        s.order(input)
+    }
+
+    fn build(kind: StrategyKind) -> Box<dyn SortingStrategy> {
+        kind.build(SorterConfig::default())
+    }
+
     #[test]
     fn full_resort_is_exact_every_frame() {
-        let mut s = TileSorter::new(StrategyKind::FullResort);
+        let mut s = build(StrategyKind::FullResort);
         let f = frame(&[3, 1, 2], |id| (10 - id) as f32);
-        let out = s.process_frame(&f);
+        let out = drive(&mut *s, 0, &f);
         assert_eq!(ids_of(&out.order), vec![3, 2, 1]);
         assert_eq!(out.cost.passes, RADIX_PASSES);
         assert_eq!(out.cost.bytes_read, 3 * 8 * RADIX_PASSES as u64);
@@ -750,72 +642,72 @@ mod tests {
 
     #[test]
     fn hierarchical_is_exact_with_fewer_passes() {
-        let mut s = TileSorter::new(StrategyKind::Hierarchical);
+        let mut s = build(StrategyKind::Hierarchical);
         let f = frame(&[5, 6, 7], |id| id as f32);
-        let out = s.process_frame(&f);
+        let out = drive(&mut *s, 0, &f);
         assert_eq!(ids_of(&out.order), vec![5, 6, 7]);
         assert_eq!(out.cost.passes, HIERARCHICAL_PASSES);
     }
 
     #[test]
     fn periodic_skips_between_refreshes() {
-        let mut s = TileSorter::new(StrategyKind::Periodic(3));
+        let mut s = build(StrategyKind::Periodic(3));
         let f0 = frame(&[1, 2], |id| id as f32);
-        let out0 = s.process_frame(&f0);
+        let out0 = drive(&mut *s, 0, &f0);
         assert!(out0.cost.bytes_total() > 0);
         // Frame 1: membership changed, but periodic returns the stale
         // order at zero cost.
         let f1 = frame(&[1, 2, 3], |id| (10 - id) as f32);
-        let out1 = s.process_frame(&f1);
+        let out1 = drive(&mut *s, 1, &f1);
         assert_eq!(ids_of(&out1.order), vec![1, 2]);
         assert_eq!(out1.cost.bytes_total(), 0);
         // Frame 2: still stale.
-        let out2 = s.process_frame(&f1);
+        let out2 = drive(&mut *s, 2, &f1);
         assert_eq!(out2.cost.bytes_total(), 0);
         // Frame 3: refresh picks up the new world.
-        let out3 = s.process_frame(&f1);
+        let out3 = drive(&mut *s, 3, &f1);
         assert_eq!(ids_of(&out3.order), vec![3, 2, 1]);
         assert!(out3.cost.bytes_total() > 0);
     }
 
     #[test]
     fn background_lags_by_k_frames() {
-        let mut s = TileSorter::new(StrategyKind::Background(2));
+        let mut s = build(StrategyKind::Background(2));
         let f0 = frame(&[1], |_| 0.0);
         let f1 = frame(&[2], |_| 0.0);
         let f2 = frame(&[3], |_| 0.0);
-        assert_eq!(ids_of(&s.process_frame(&f0).order), vec![1]);
-        assert_eq!(ids_of(&s.process_frame(&f1).order), vec![1]);
-        let out2 = s.process_frame(&f2);
+        assert_eq!(ids_of(&drive(&mut *s, 0, &f0).order), vec![1]);
+        assert_eq!(ids_of(&drive(&mut *s, 1, &f1).order), vec![1]);
+        let out2 = drive(&mut *s, 2, &f2);
         assert_eq!(ids_of(&out2.order), vec![1], "lag 2: frame 2 sees frame 0");
         // Sustained cost every frame.
         assert!(out2.cost.bytes_total() > 0);
         let f3 = frame(&[4], |_| 0.0);
-        assert_eq!(ids_of(&s.process_frame(&f3).order), vec![2]);
+        assert_eq!(ids_of(&drive(&mut *s, 3, &f3).order), vec![2]);
     }
 
     #[test]
     fn reuse_update_first_frame_inserts_everything() {
-        let mut s = TileSorter::new(StrategyKind::ReuseUpdate);
+        let mut s = build(StrategyKind::ReuseUpdate);
         let f = frame(&[4, 5, 6], |id| (10 - id) as f32);
-        let out = s.process_frame(&f);
+        let out = drive(&mut *s, 0, &f);
         assert_eq!(out.incoming, 3);
         assert_eq!(ids_of(&out.order), vec![6, 5, 4]);
     }
 
     #[test]
     fn reuse_update_tracks_membership() {
-        let mut s = TileSorter::new(StrategyKind::ReuseUpdate);
+        let mut s = build(StrategyKind::ReuseUpdate);
         let f0 = frame(&[1, 2, 3], |id| id as f32);
-        s.process_frame(&f0);
+        drive(&mut *s, 0, &f0);
         // ID 2 leaves, ID 9 arrives.
         let f1 = frame(&[1, 3, 9], |id| id as f32);
-        let out1 = s.process_frame(&f1);
+        let out1 = drive(&mut *s, 1, &f1);
         assert_eq!(out1.incoming, 1);
         assert_eq!(out1.outgoing, 1);
         // Next frame, the departed entry is physically merged out.
         let f2 = frame(&[1, 3, 9], |id| id as f32);
-        let out2 = s.process_frame(&f2);
+        let out2 = drive(&mut *s, 2, &f2);
         let ids = ids_of(&out2.order);
         assert!(
             !ids.contains(&2),
@@ -830,7 +722,7 @@ mod tests {
         // order with at most transient error.
         let ids: Vec<u32> = (0..400).collect();
         let n = ids.len() as u64;
-        let mut s = TileSorter::new(StrategyKind::ReuseUpdate);
+        let mut s = build(StrategyKind::ReuseUpdate);
         let mut last_ratio = 1.0f64;
         for f in 0..30 {
             let t = f as f32 * 0.1;
@@ -838,7 +730,7 @@ mod tests {
             let fr = frame(&ids, |id| {
                 100.0 + (id as f32 * 0.37 + t).sin() * 50.0 + id as f32 * 0.01
             });
-            let out = s.process_frame(&fr);
+            let out = drive(&mut *s, f, &fr);
             // Re-key the returned order with the *true* current depths and
             // count inversions: measures real blend-order error, tolerant
             // of the by-design one-frame depth lag.
@@ -862,14 +754,14 @@ mod tests {
     fn reuse_update_single_pass_traffic_beats_full_resort() {
         let ids: Vec<u32> = (0..1000).collect();
         let fr = frame(&ids, |id| id as f32);
-        let mut reuse = TileSorter::new(StrategyKind::ReuseUpdate);
-        let mut full = TileSorter::new(StrategyKind::FullResort);
-        reuse.process_frame(&fr);
-        full.process_frame(&fr);
+        let mut reuse = build(StrategyKind::ReuseUpdate);
+        let mut full = build(StrategyKind::FullResort);
+        drive(&mut *reuse, 0, &fr);
+        drive(&mut *full, 0, &fr);
         // Steady state (no churn): reuse touches the table once; full
         // resort makes RADIX_PASSES passes.
-        let out_r = reuse.process_frame(&fr);
-        let out_f = full.process_frame(&fr);
+        let out_r = drive(&mut *reuse, 1, &fr);
+        let out_f = drive(&mut *full, 1, &fr);
         assert!(
             out_r.cost.bytes_total() * 3 < out_f.cost.bytes_total(),
             "reuse {} vs full {}",
@@ -882,18 +774,15 @@ mod tests {
     fn non_deferred_depth_update_costs_extra_pass() {
         let ids: Vec<u32> = (0..500).collect();
         let fr = frame(&ids, |id| id as f32);
-        let mut deferred = TileSorter::new(StrategyKind::ReuseUpdate);
-        let mut eager = TileSorter::with_config(
-            StrategyKind::ReuseUpdate,
-            SorterConfig {
-                deferred_depth_update: false,
-                ..Default::default()
-            },
-        );
-        deferred.process_frame(&fr);
-        eager.process_frame(&fr);
-        let d = deferred.process_frame(&fr).cost.bytes_total();
-        let e = eager.process_frame(&fr).cost.bytes_total();
+        let mut deferred = build(StrategyKind::ReuseUpdate);
+        let mut eager = StrategyKind::ReuseUpdate.build(SorterConfig {
+            deferred_depth_update: false,
+            ..Default::default()
+        });
+        drive(&mut *deferred, 0, &fr);
+        drive(&mut *eager, 0, &fr);
+        let d = drive(&mut *deferred, 1, &fr).cost.bytes_total();
+        let e = drive(&mut *eager, 1, &fr).cost.bytes_total();
         assert!(e > d, "eager {e} must exceed deferred {d}");
         // Roughly double (extra read+write pass over the table).
         let ratio = e as f64 / d as f64;
@@ -902,18 +791,18 @@ mod tests {
 
     #[test]
     fn reuse_update_depths_lag_one_frame() {
-        let mut s = TileSorter::new(StrategyKind::ReuseUpdate);
-        s.process_frame(&frame(&[1, 2], |id| id as f32));
+        let mut s = build(StrategyKind::ReuseUpdate);
+        drive(&mut *s, 0, &frame(&[1, 2], |id| id as f32));
         // Depths change radically; the *order* this frame still reflects
         // last frame's depths (deferred update), then catches up.
         let f1 = frame(&[1, 2], |id| (10 - id) as f32);
-        let out1 = s.process_frame(&f1);
+        let out1 = drive(&mut *s, 1, &f1);
         assert_eq!(
             ids_of(&out1.order),
             vec![1, 2],
             "stale order used for frame 1"
         );
-        let out2 = s.process_frame(&f1);
+        let out2 = drive(&mut *s, 2, &f1);
         assert_eq!(
             ids_of(&out2.order),
             vec![2, 1],
@@ -924,7 +813,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "periodic interval")]
     fn zero_periodic_interval_rejected() {
-        let _ = TileSorter::new(StrategyKind::Periodic(0));
+        let _ = PeriodicStrategy::new(0);
     }
 
     #[test]
@@ -936,38 +825,11 @@ mod tests {
     }
 
     #[test]
-    fn boxed_strategies_match_tile_sorter() {
-        // StrategyKind::build must construct the same state machines the
-        // TileSorter wrapper drives.
-        for kind in [
-            StrategyKind::FullResort,
-            StrategyKind::Hierarchical,
-            StrategyKind::Periodic(2),
-            StrategyKind::Background(1),
-            StrategyKind::ReuseUpdate,
-        ] {
-            let mut boxed = kind.build(SorterConfig::default());
-            let mut legacy = TileSorter::new(kind);
-            for f in 0..4u64 {
-                let ids: Vec<u32> = (0..50 + (f as u32 * 7) % 13).collect();
-                let input = frame(&ids, |id| ((id * 37) % 101) as f32 + f as f32);
-                boxed.begin_frame(f);
-                let a = boxed.order(&input);
-                let b = legacy.process_frame(&input);
-                assert_eq!(a, b, "{kind:?} frame {f}");
-            }
-            assert_eq!(boxed.name(), kind.name());
-        }
-    }
-
-    #[test]
     fn cumulative_cost_sums_frames() {
-        let mut s = StrategyKind::FullResort.build(SorterConfig::default());
+        let mut s = build(StrategyKind::FullResort);
         let f = frame(&[1, 2, 3], |id| id as f32);
-        s.begin_frame(0);
-        let c0 = s.order(&f).cost;
-        s.begin_frame(1);
-        let c1 = s.order(&f).cost;
+        let c0 = drive(&mut *s, 0, &f).cost;
+        let c1 = drive(&mut *s, 1, &f).cost;
         assert_eq!(s.cost().bytes_total(), c0.bytes_total() + c1.bytes_total());
     }
 
@@ -988,6 +850,5 @@ mod tests {
         assert_send::<PeriodicStrategy>();
         assert_send::<BackgroundStrategy>();
         assert_send::<ReuseUpdateStrategy>();
-        assert_send::<TileSorter>();
     }
 }

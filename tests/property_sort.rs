@@ -6,7 +6,7 @@ use neo_sort::dps::{chunk_ranges, dynamic_partial_sort, DpsConfig};
 use neo_sort::hierarchical::{hierarchical_sort, HierarchicalConfig};
 use neo_sort::merge::{chunk_sort, merge_filtering, merge_keeping};
 use neo_sort::radix::radix_sort;
-use neo_sort::strategies::{StrategyKind, TileSorter};
+use neo_sort::strategies::StrategyKind;
 use neo_sort::{GaussianTable, TableEntry};
 use proptest::prelude::*;
 
@@ -197,10 +197,12 @@ proptest! {
         // blend orders even for NaN/infinite depths.
         let input: Vec<(u32, f32)> =
             entries.iter().map(|e| (e.id, e.depth)).collect();
-        let mut full = TileSorter::new(StrategyKind::FullResort);
-        let mut hier = TileSorter::new(StrategyKind::Hierarchical);
-        let a = full.process_frame(&input);
-        let b = hier.process_frame(&input);
+        let mut full = StrategyKind::FullResort.build(Default::default());
+        let mut hier = StrategyKind::Hierarchical.build(Default::default());
+        full.begin_frame(0);
+        hier.begin_frame(0);
+        let a = full.order(&input);
+        let b = hier.order(&input);
         prop_assert_eq!(key_bits(&a.order), key_bits(&b.order));
     }
 
@@ -212,9 +214,11 @@ proptest! {
         // exactly the input IDs (duplicates removed, stale pruned).
         let frame: Vec<(u32, f32)> =
             ids.iter().map(|&id| (id, id as f32 * 0.5)).collect();
-        let mut sorter = TileSorter::new(StrategyKind::ReuseUpdate);
-        sorter.process_frame(&frame);
-        let out = sorter.process_frame(&frame);
+        let mut sorter = StrategyKind::ReuseUpdate.build(Default::default());
+        sorter.begin_frame(0);
+        sorter.order(&frame);
+        sorter.begin_frame(1);
+        let out = sorter.order(&frame);
         let mut got: Vec<u32> =
             out.order.iter().filter(|e| e.valid).map(|e| e.id).collect();
         got.sort_unstable();
